@@ -95,16 +95,8 @@ class FastChecker:
             # subtree was already cut off); disabling affects nobody.
             return FastCheckResult(link_id=link_id, allowed=True)
 
-        # An incremental counter answers from its live counts plus a
-        # dirty-region overlay; the pruned-closure DP (and the closure
-        # itself) is only needed in recount-per-query mode.
-        closure = (
-            set()
-            if self.counter.incremental
-            else self.counter.upstream_closure(affected)
-        )
         fractions = self.counter.restricted_fractions(
-            affected, closure, extra_disabled=frozenset({link_id})
+            affected, frozenset({link_id})
         )
         violated = self.constraint.violations(fractions)
         return FastCheckResult(

@@ -318,19 +318,11 @@ class GlobalOptimizer:
         if not tors:
             # No at-risk ToR depends on these links: all can go.
             return set(links)
-        # The pruned closure is only needed when the counter reruns the DP
-        # per query; an incremental counter evaluates candidate subsets as
-        # dirty-region overlays on its live counts.
-        closure = (
-            set()
-            if self.counter.incremental
-            else self.counter.upstream_closure(tors)
-        )
 
         def feasible(subset: FrozenSet[LinkId]) -> bool:
             stats.feasibility_checks += 1
             fractions = self.counter.restricted_fractions(
-                tors, closure, extra_disabled=base_disabled | subset
+                tors, base_disabled | subset
             )
             return not self.constraint.violations(fractions)
 

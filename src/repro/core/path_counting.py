@@ -9,16 +9,19 @@ The *capacity fraction* of a ToR is its current path count divided by its
 design path count (all links enabled) — the metric of §5.1, illustrated by
 Figure 10 where ToR ``T`` retains "9 out of 25 paths".
 
-The counter is **incremental**: it subscribes to the topology's
-administrative-change notifications and, when a link flips, recomputes only
-the *dirty region* — the switches whose up-path counts flow through the
-changed link — instead of rerunning the full-topology DP.  Hypothetical
-queries (``extra_disabled``) are answered the same way, as an overlay delta
-on the live counts.  Per-ToR fraction aggregates (worst / average) are
-maintained alongside, so a simulation snapshot costs O(changed ToRs)
-instead of O(|ToRs| · |E|).  Passing ``incremental=False`` restores the
-original recount-per-query behaviour (used as the baseline in
-``benchmarks/test_runtime_incremental_counter.py``).
+One DP, ``count[v] = Σ weight(l) · count[upper(l)]`` over v's uplinks with
+``count[spine] = 1``, yields every full count: weight 1 gives the design
+baseline, ``link.enabled`` the live counts, and the LinkGuardian effective
+capacity fraction the LG-aware counts.  After that the counter is
+**incremental**: it subscribes to the topology's administrative-change
+notifications and, when a link flips, recomputes only the *dirty region* —
+the switches whose up-path counts flow through the changed link.
+Hypothetical queries (``extra_disabled``) are answered the same way, as an
+overlay delta on the live counts.  Per-ToR fraction aggregates (worst /
+average) are maintained alongside, so a simulation snapshot costs
+O(changed ToRs) instead of O(|ToRs| · |E|).  The vectorized full recount
+in :mod:`repro.topology.columnar` is the independent reference the tests
+check this counter against.
 """
 
 from __future__ import annotations
@@ -26,17 +29,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.topology.elements import LinkId
+from repro.topology.elements import Link, LinkId
 from repro.topology.graph import Topology
 
 _EMPTY: FrozenSet[LinkId] = frozenset()
-
-#: Bound on the memoization caches (entries), to keep long replays from
-#: accumulating unbounded closure keys.
-_CACHE_LIMIT = 4096
 
 
 @dataclass
@@ -72,18 +71,16 @@ class PathCounter:
     disables are passed as ``extra_disabled`` sets so the optimizer can
     evaluate candidate subsets without mutating the topology.
 
-    Args:
-        topo: The topology to bind to.
-        incremental: Maintain live counts and answer queries from the
-            cached state (the default).  ``False`` recounts the topology
-            on every query — the pre-incremental behaviour, kept as the
-            benchmark baseline.
-
     Invalidation contract:
         * Administrative changes made through ``topo.disable_link`` /
-          ``enable_link`` / ``drain_link`` are picked up automatically.
+          ``enable_link`` / ``drain_link`` are picked up automatically and
+          update the live counts by a dirty-region walk.
         * Code that flips ``Link.state`` directly must call
           :meth:`notify_link_change` afterwards.
+        * LinkGuardian changes (``protect_link`` / ``unprotect_link`` /
+          ``set_lg_capable``) bump ``topo.lg_version``; the effective
+          counts are memoized per (admin state, LG version) and recomputed
+          on the next ``effective_*`` query.
         * Structural changes (``add_switch`` / ``add_link``) trigger a full
           rebuild, including the baseline.
 
@@ -95,14 +92,8 @@ class PathCounter:
         4
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        incremental: bool = True,
-        obs: Recorder = NULL_RECORDER,
-    ):
+    def __init__(self, topo: Topology, obs: Recorder = NULL_RECORDER):
         self._topo = topo
-        self._incremental = incremental
         self.obs = obs
         self.stats = PathCounterStats()
         self._rebuild_structure()
@@ -118,24 +109,13 @@ class PathCounter:
         """The topology this counter is bound to."""
         return self._topo
 
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
-
-    def set_incremental(self, incremental: bool) -> None:
-        """Switch between incremental and recount-per-query modes."""
-        if incremental == self._incremental:
-            return
-        self._incremental = incremental
-        if incremental:
-            self._rebuild_live_state()
-
     def detach(self) -> None:
         """Unsubscribe from the topology (for explicit lifecycle control)."""
         self._topo.unsubscribe_admin_changes(self._on_admin_change)
         self._topo.unsubscribe_structure_changes(self._on_structure_change)
 
     def _rebuild_structure(self) -> None:
+        """Full rebuild: switch order, baseline, live counts, aggregates."""
         topo = self._topo
         # Switches in stage-descending order (spine first) so a single pass
         # computes the DP.
@@ -149,28 +129,20 @@ class PathCounter:
         self._tor_list: List[str] = topo.tors()
         self._tor_set: Set[str] = set(self._tor_list)
         self._num_tors = len(self._tor_list)
-        self._baseline = self._count(ignore_admin_state=True)
-        self._closure_cache: Dict[FrozenSet[str], Set[str]] = {}
         self._affected_cache: Dict[LinkId, Set[str]] = {}
         self._state_version = 0
-        self._full_cache: Optional[Tuple[int, Dict[str, int]]] = None
         self._effective_cache: Optional[
             Tuple[Tuple[int, int], Dict[str, float]]
         ] = None
-        self._rebuild_live_state()
-
-    def _rebuild_live_state(self) -> None:
-        """(Re)compute the live counts and aggregates with one full DP."""
-        self._counts: Dict[str, int] = self._count()
+        self._baseline: Dict[str, int] = self._count(lambda link: 1)
+        self._counts: Dict[str, int] = self._count(lambda link: link.enabled)
         fracsum = Fraction(0)
         heap: List[Tuple[float, str]] = []
         for tor in self._tor_list:
             base = self._baseline[tor]
             if base:
                 fracsum += Fraction(self._counts[tor], base)
-                heap.append((self._counts[tor] / base, tor))
-            else:
-                heap.append((0.0, tor))
+            heap.append((self._frac(tor), tor))
         heapq.heapify(heap)
         self._fracsum = fracsum
         self._min_heap = heap
@@ -192,8 +164,6 @@ class PathCounter:
         self._state_version += 1
         # affected_tors depends on enabled downlinks; drop memoized entries.
         self._affected_cache.clear()
-        if not self._incremental:
-            return
         self.stats.incremental_updates += 1
         self._propagate_from(self._topo.link(link_id).lower)
 
@@ -263,44 +233,28 @@ class PathCounter:
     # DP kernels
     # ------------------------------------------------------------------ #
 
-    def _count(
-        self,
-        extra_disabled: FrozenSet[LinkId] = _EMPTY,
-        ignore_admin_state: bool = False,
-        restrict: Optional[Set[str]] = None,
-    ) -> Dict[str, int]:
-        """Run the full DP; returns path counts for every (restricted) switch.
+    def _count(self, weight: Callable[[Link], float]) -> Dict[str, float]:
+        """Run the full DP: ``count[v] = Σ weight(l) · count[upper(l)]``.
 
-        Args:
-            extra_disabled: Links treated as disabled on top of the
-                topology's administrative state.
-            ignore_admin_state: Count over the pristine design topology
-                (used for the baseline denominator).
-            restrict: If given, an *upstream-closed* set of switch names;
-                the DP only visits these.  Used by the recount-per-query
-                mode to evaluate candidate subsets on a pruned region.
+        The sum runs over v's uplinks in topology order, with
+        ``count[spine] = 1``.  Integer weights (1 for the design baseline,
+        ``link.enabled`` for the live state) give exact integer path
+        counts; the LinkGuardian capacity fraction gives float effective
+        counts.
         """
         topo = self._topo
         top = self._top
-        counts: Dict[str, int] = {}
+        counts: Dict[str, float] = {}
         visited = 0
         for name in self._descending:
-            if restrict is not None and name not in restrict:
-                continue
             if self._stage_of[name] == top:
                 counts[name] = 1
                 continue
             total = 0
             for lid in topo.uplinks(name):
                 visited += 1
-                if lid in extra_disabled:
-                    continue
-                if not ignore_admin_state and not topo.link(lid).enabled:
-                    continue
-                upper = topo.link(lid).upper
-                # With a correct upstream-closed restriction the upper
-                # endpoint is always present.
-                total += counts[upper]
+                link = topo.link(lid)
+                total += weight(link) * counts[link.upper]
             counts[name] = total
         self.stats.links_visited += visited
         self.stats.full_recounts += 1
@@ -362,15 +316,20 @@ class PathCounter:
             )
         return overlay
 
-    def _full_counts(self) -> Dict[str, int]:
-        """Recount-per-query mode: full DP memoized per state version."""
-        if self._full_cache is not None and (
-            self._full_cache[0] == self._state_version
-        ):
-            return self._full_cache[1]
-        counts = self._count()
-        self._full_cache = (self._state_version, counts)
-        return counts
+    def _fractions(
+        self, tors: Iterable[str], extra: FrozenSet[LinkId]
+    ) -> Dict[str, float]:
+        """Path fractions for ``tors``, live counts plus an ``extra`` overlay."""
+        overlay = self._overlay_with_extra(extra) if extra else {}
+        counts = self._counts
+        baseline = self._baseline
+        return {
+            tor: (overlay[tor] if tor in overlay else counts[tor])
+            / baseline[tor]
+            if baseline[tor]
+            else 0.0
+            for tor in tors
+        }
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -388,14 +347,9 @@ class PathCounter:
     ) -> Dict[str, int]:
         """Current path counts, optionally with extra hypothetical disables."""
         extra = frozenset(extra_disabled) if extra_disabled else _EMPTY
-        if not self._incremental:
-            if not extra:
-                return dict(self._full_counts())
-            return self._count(extra)
-        if not extra:
-            return dict(self._counts)
         result = dict(self._counts)
-        result.update(self._overlay_with_extra(extra))
+        if extra:
+            result.update(self._overlay_with_extra(extra))
         return result
 
     def tor_fractions(
@@ -410,40 +364,29 @@ class PathCounter:
             tors: Restrict to these ToRs (default: all).
         """
         extra = frozenset(extra_disabled) if extra_disabled else _EMPTY
-        targets = list(tors) if tors is not None else self._tor_list
-        if not self._incremental:
-            counts = self._full_counts() if not extra else self._count(extra)
-            return {
-                tor: counts[tor] / self._baseline[tor]
-                if self._baseline[tor]
-                else 0.0
-                for tor in targets
-            }
-        overlay = self._overlay_with_extra(extra) if extra else {}
-        counts = self._counts
-        baseline = self._baseline
-        return {
-            tor: (overlay[tor] if tor in overlay else counts[tor])
-            / baseline[tor]
-            if baseline[tor]
-            else 0.0
-            for tor in targets
-        }
+        return self._fractions(
+            self._tor_list if tors is None else tors, extra
+        )
+
+    def restricted_fractions(
+        self, tors: List[str], extra_disabled: FrozenSet[LinkId]
+    ) -> Dict[str, float]:
+        """Path fractions for ``tors`` under hypothetical disables.
+
+        Answered from the live counts plus a dirty-region overlay of
+        ``extra_disabled``.  This is the fast checker's and optimizer's
+        feasibility primitive.
+        """
+        return self._fractions(tors, frozenset(extra_disabled))
 
     def worst_tor_fraction(self) -> float:
         """Minimum ToR path fraction (the Figures 15–16 metric), O(log n).
 
-        In incremental mode the value comes from a lazily-cleaned min-heap,
-        so a simulation snapshot does not rescan every ToR.
+        The value comes from a lazily-cleaned min-heap, so a simulation
+        snapshot does not rescan every ToR.
         """
         if not self._num_tors:
             return 1.0
-        if not self._incremental:
-            counts = self._full_counts()
-            return min(
-                counts[tor] / self._baseline[tor] if self._baseline[tor] else 0.0
-                for tor in self._tor_list
-            )
         heap = self._min_heap
         while heap:
             frac, tor = heap[0]
@@ -463,116 +406,26 @@ class PathCounter:
         """
         if not self._num_tors:
             return 1.0
-        if not self._incremental:
-            counts = self._full_counts()
-            fracsum = Fraction(0)
-            for tor in self._tor_list:
-                base = self._baseline[tor]
-                if base:
-                    fracsum += Fraction(counts[tor], base)
-            return float(fracsum / self._num_tors)
         return float(self._fracsum / self._num_tors)
-
-    def upstream_closure(self, tors: Iterable[str]) -> Set[str]:
-        """All switches on any up-path from the given ToRs (inclusive).
-
-        The returned set is upstream-closed and therefore a valid
-        ``restrict`` argument for :meth:`restricted_fractions`.  Results are
-        memoized (the closure ignores administrative state, so entries stay
-        valid until the structure changes); treat the returned set as
-        read-only.
-        """
-        key = frozenset(tors)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        topo = self._topo
-        seen: Set[str] = set(key)
-        frontier = list(key)
-        while frontier:
-            current = frontier.pop()
-            for lid in topo.uplinks(current):
-                upper = topo.link(lid).upper
-                if upper not in seen:
-                    seen.add(upper)
-                    frontier.append(upper)
-        if len(self._closure_cache) >= _CACHE_LIMIT:
-            self._closure_cache.clear()
-        self._closure_cache[key] = seen
-        return seen
-
-    def restricted_fractions(
-        self,
-        tors: List[str],
-        closure: Set[str],
-        extra_disabled: FrozenSet[LinkId] = _EMPTY,
-    ) -> Dict[str, float]:
-        """Path fractions for ``tors`` under hypothetical disables.
-
-        ``closure`` must be (a superset of) ``upstream_closure(tors)``.  In
-        incremental mode the query is answered from the live counts plus a
-        dirty-region overlay (the closure argument is then unused); in
-        recount mode the DP runs restricted to ``closure``.  This is the
-        fast checker's and optimizer's feasibility primitive.
-        """
-        if self._incremental:
-            overlay = (
-                self._overlay_with_extra(frozenset(extra_disabled))
-                if extra_disabled
-                else {}
-            )
-            counts = self._counts
-            return {
-                tor: (overlay[tor] if tor in overlay else counts[tor])
-                / self._baseline[tor]
-                if self._baseline[tor]
-                else 0.0
-                for tor in tors
-            }
-        counts = self._count(extra_disabled, restrict=closure)
-        return {
-            tor: counts[tor] / self._baseline[tor]
-            if self._baseline[tor]
-            else 0.0
-            for tor in tors
-        }
 
     # ------------------------------------------------------------------ #
     # Effective capacity (LinkGuardian-aware)
     # ------------------------------------------------------------------ #
 
     def _effective_counts(self) -> Dict[str, float]:
-        """Float DP weighting each uplink by its effective capacity fraction.
+        """The DP weighted by each uplink's effective capacity fraction.
 
         LinkGuardian-protected links stay ENABLED but deliver only
         ``lg_capacity_fraction`` of their bandwidth (retransmissions cost
         capacity), so penalty snapshots that account for LG need a
-        fractional path count: ``eff[v] = Σ frac(l) · eff[upper(l)]`` over
-        enabled uplinks, with ``eff[spine] = 1``.  With no protected links
-        this reduces exactly to the integer DP and we reuse it.  Memoized
-        against both the admin-state version and the topology's LG version.
+        fractional path count.  Memoized against both the admin-state
+        version and the topology's LG version.
         """
         key = (self._state_version, self._topo.lg_version)
         cached = self._effective_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        topo = self._topo
-        top = self._top
-        counts: Dict[str, float] = {}
-        visited = 0
-        for name in self._descending:
-            if self._stage_of[name] == top:
-                counts[name] = 1.0
-                continue
-            total = 0.0
-            for lid in topo.uplinks(name):
-                visited += 1
-                link = topo.link(lid)
-                frac = link.effective_capacity_fraction()
-                if frac:
-                    total += frac * counts[link.upper]
-            counts[name] = total
-        self.stats.links_visited += visited
+        counts = self._count(Link.effective_capacity_fraction)
         self._effective_cache = (key, counts)
         return counts
 
@@ -623,7 +476,5 @@ class PathCounter:
             affected: Set[str] = {lower}
         else:
             affected = self._topo.downstream_tors(lower)
-        if len(self._affected_cache) >= _CACHE_LIMIT:
-            self._affected_cache.clear()
         self._affected_cache[link_id] = affected
         return affected

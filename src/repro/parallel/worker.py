@@ -29,7 +29,8 @@ from repro.core.penalty import PENALTY_BY_NAME, PenaltyFn
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.spec import JobSpec
 from repro.simulation.chaos import ChaosSimulation, chaos_preset
-from repro.simulation.engine import MitigationSimulation, SimulationResult
+from repro.simulation.engine import MitigationSimulation
+from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario, make_scenario
 from repro.simulation.strategies import build_strategy
 from repro.topology.graph import Topology
@@ -166,7 +167,7 @@ def worker_cache() -> ScenarioCache:
 class JobRecord:
     """The picklable outcome of one job.
 
-    ``result`` carries the full :class:`SimulationResult` (exact metric
+    ``result`` carries the full :class:`RunResult` (exact metric
     series included) so reworked figure campaigns lose nothing relative
     to in-process runs.  ``error`` is a structured failure instead of an
     exception object so records always unpickle cleanly.
@@ -174,7 +175,7 @@ class JobRecord:
 
     spec: JobSpec
     status: str  # "ok" | "failed"
-    result: Optional[SimulationResult] = None
+    result: Optional[RunResult] = None
     payload: Optional[Dict[str, float]] = None
     error: Optional[Dict[str, str]] = None
     attempts: int = 1

@@ -10,14 +10,12 @@
 
 from repro.simulation.chaos import (
     CHAOS_PRESETS,
-    ChaosResult,
     ChaosSimulation,
     chaos_preset,
     run_chaos_scenario,
 )
 from repro.simulation.engine import (
     MitigationSimulation,
-    SimulationResult,
     run_comparison,
 )
 from repro.simulation.kernel import (
@@ -57,7 +55,6 @@ __all__ = [
     "EVENT_POOL_CHECK",
     "EVENT_REPAIR",
     "ChaosMetrics",
-    "ChaosResult",
     "ChaosSimulation",
     "CorrOptStrategy",
     "DrainStrategy",
@@ -71,7 +68,6 @@ __all__ = [
     "SensingPipeline",
     "SimulationKernel",
     "SimulationMetrics",
-    "SimulationResult",
     "StepSeries",
     "SwitchLocalStrategy",
     "TelemetrySensing",

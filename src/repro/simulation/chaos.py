@@ -22,9 +22,9 @@ Determinism contract: with a fault config whose rates are all zero (or no
 config at all) the run is bit-identical to the fault-free run — the chaos
 apparatus itself must not perturb the system it observes.
 
-Since the kernel unification, :class:`ChaosSimulation` is a thin shim
-composing :class:`~repro.simulation.kernel.SimulationKernel` with
-:class:`~repro.simulation.kernel.TelemetrySensing`; polls are scheduled
+:class:`ChaosSimulation` composes
+:class:`~repro.simulation.kernel.SimulationKernel` (``.kernel``) with
+:class:`~repro.simulation.kernel.TelemetrySensing` (``.pipeline``); polls are scheduled
 heap events on the shared kernel rather than a private tick loop.
 """
 
@@ -38,7 +38,7 @@ from repro.faults.telemetry_faults import TelemetryFaultConfig
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.registry import require
 from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
-from repro.simulation.results import ChaosResult, RunResult
+from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario
 from repro.simulation.voting import FlowVotingSensing
 
@@ -49,7 +49,6 @@ _MISWIRE_SEED_OFFSET = 104729
 
 __all__ = [
     "CHAOS_PRESETS",
-    "ChaosResult",
     "ChaosSimulation",
     "chaos_preset",
     "run_chaos_scenario",
@@ -157,45 +156,6 @@ class ChaosSimulation:
             seed=seed,
             obs=obs,
         )
-
-    # Historic surface, delegated to the kernel/pipeline ---------------- #
-
-    @property
-    def metrics(self):
-        return self.kernel.metrics
-
-    @property
-    def chaos(self):
-        return self.pipeline.chaos
-
-    @property
-    def store(self):
-        return self.pipeline.store
-
-    @property
-    def sanitizer(self):
-        return self.pipeline.sanitizer
-
-    @property
-    def transport(self):
-        return self.pipeline.transport
-
-    @property
-    def poller(self):
-        return self.pipeline.poller
-
-    @property
-    def audit(self):
-        return self.pipeline.audit
-
-    @property
-    def controller(self):
-        return self.pipeline.controller
-
-    @property
-    def diagnosis(self):
-        """The cause-attribution ledger (``None`` on plain runs)."""
-        return self.pipeline.diagnosis
 
     def run(self) -> RunResult:
         """Execute the scenario's full horizon, one poll event at a time."""

@@ -15,10 +15,11 @@ time series:
   repair re-enables a still-corrupting link, which is re-detected and
   re-disabled.
 
-Since the kernel unification, :class:`MitigationSimulation` is a thin shim
-composing :class:`~repro.simulation.kernel.SimulationKernel` with
-:class:`~repro.simulation.kernel.OracleSensing`; the event loop, repair
-scheduling and snapshot bookkeeping live in :mod:`repro.simulation.kernel`.
+:class:`MitigationSimulation` composes
+:class:`~repro.simulation.kernel.SimulationKernel` (``.kernel``) with
+:class:`~repro.simulation.kernel.OracleSensing` (``.pipeline``); the event
+loop, repair scheduling and snapshot bookkeeping live in
+:mod:`repro.simulation.kernel`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, Optional
 from repro.core.penalty import PenaltyFn, linear_penalty
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.simulation.kernel import DAY_S, OracleSensing, SimulationKernel
-from repro.simulation.results import RunResult, SimulationResult
+from repro.simulation.results import RunResult
 from repro.simulation.strategies import MitigationStrategy
 from repro.topology.graph import Topology
 from repro.workloads.trace import CorruptionTrace
@@ -37,7 +38,6 @@ __all__ = [
     "DAY_S",
     "MitigationSimulation",
     "RunResult",
-    "SimulationResult",
     "run_comparison",
 ]
 
@@ -102,36 +102,6 @@ class MitigationSimulation:
             technician_pool=technician_pool,
             obs=obs,
         )
-
-    # Historic surface, delegated to the kernel/pipeline ---------------- #
-
-    @property
-    def metrics(self):
-        return self.kernel.metrics
-
-    @property
-    def rng(self):
-        return self.kernel.rng
-
-    @property
-    def obs(self):
-        return self.kernel.obs
-
-    @property
-    def _pool(self):
-        return self.kernel._pool
-
-    @property
-    def _next_pool_check(self):
-        return self.kernel._next_pool_check
-
-    @property
-    def _counter(self):
-        return self.pipeline._counter
-
-    @property
-    def _rates(self):
-        return self.pipeline._rates
 
     def run(self) -> RunResult:
         """Execute the full trace; returns the recorded metrics.

@@ -84,8 +84,7 @@ class CollateralAwareScheduler:
         if not tors:
             return {}
         ordered = sorted(tors)
-        closure = self.counter.upstream_closure(ordered)
-        fractions = self.counter.restricted_fractions(ordered, closure, extra)
+        fractions = self.counter.restricted_fractions(ordered, extra)
         return self.constraint.violations(fractions)
 
     def plan(self, tickets: Sequence[Ticket]) -> List[RepairBatch]:

@@ -25,7 +25,7 @@ FORMAT_VERSION = 1
 
 
 def topology_to_dict(topo: Topology) -> Dict[str, Any]:
-    """Serialize a topology (including state and corruption) to a dict."""
+    """Serialize a topology (state, corruption and LinkGuardian included)."""
     return {
         "version": FORMAT_VERSION,
         "name": topo.name,
@@ -36,6 +36,7 @@ def topology_to_dict(topo: Topology) -> Dict[str, Any]:
                 "stage": sw.stage,
                 "pod": sw.pod,
                 "deep_buffer": sw.deep_buffer,
+                "num_ports": sw.num_ports,
             }
             for sw in topo.switches()
         ],
@@ -48,6 +49,10 @@ def topology_to_dict(topo: Topology) -> Dict[str, Any]:
                 "breakout_group": link.breakout_group,
                 "corruption_up": link.corruption_rate[Direction.UP],
                 "corruption_down": link.corruption_rate[Direction.DOWN],
+                "lg_capable": link.lg_capable,
+                "lg_protected": link.lg_protected,
+                "lg_effective_loss": link.lg_effective_loss,
+                "lg_capacity_fraction": link.lg_capacity_fraction,
             }
             for link in topo.links()
         ],
@@ -68,6 +73,7 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
                 stage=sw["stage"],
                 pod=sw.get("pod"),
                 deep_buffer=sw.get("deep_buffer", False),
+                num_ports=sw.get("num_ports"),
             )
         )
     for entry in data["links"]:
@@ -81,6 +87,13 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
         link.state = LinkState(entry.get("state", "enabled"))
         link.corruption_rate[Direction.UP] = entry.get("corruption_up", 0.0)
         link.corruption_rate[Direction.DOWN] = entry.get("corruption_down", 0.0)
+        # LinkGuardian fields postdate the format; older files load unprotected.
+        link.lg_capable = entry.get("lg_capable", False)
+        link.lg_protected = entry.get("lg_protected", False)
+        link.lg_effective_loss = entry.get("lg_effective_loss", 0.0)
+        link.lg_capacity_fraction = entry.get("lg_capacity_fraction", 1.0)
+        if link.lg_protected:
+            topo._lg_protected.add(lid)
     return topo
 
 

@@ -119,20 +119,20 @@ class TestPoolCheckDeduplication:
         )
 
         drains = []
-        original = sim._pool.pop_due
+        original = sim.kernel._pool.pop_due
 
         def spying_pop_due(now_s):
             due = original(now_s)
             drains.append(len(due))
             return due
 
-        sim._pool.pop_due = spying_pop_due
+        sim.kernel._pool.pop_due = spying_pop_due
         result = sim.run()
 
         assert result.metrics.repairs_completed > 0
         assert drains, "pool was never drained"
         assert all(count >= 1 for count in drains)
-        assert sim._next_pool_check is None
+        assert sim.kernel._next_pool_check is None
 
     def test_pool_results_unchanged_by_dedup(self):
         """Deduplication is an efficiency fix: repair timing is identical

@@ -74,6 +74,6 @@ class TestTechnicianPool:
             CorrOptStrategy(topo, CapacityConstraint(0.5)),
             track_capacity=False,
         )
-        assert sim._pool is None
+        assert sim.kernel._pool is None
         sim.run()
         assert not topo.corrupting_links()

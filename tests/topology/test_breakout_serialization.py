@@ -82,6 +82,41 @@ class TestSerialization:
         assert clone.num_links == topo.num_links
         assert clone.name == topo.name
 
+    def test_roundtrip_preserves_lg_state_and_ports(self):
+        from repro.core import PathCounter
+        from repro.topology import Switch
+
+        topo = build_clos(2, 2, 2, 4)
+        topo.add_switch(Switch("spare", stage=0, num_ports=48))
+        lid = ("pod0/tor0", "pod0/agg0")
+        topo.set_lg_capable(lid, True)
+        topo.protect_link(lid, 1e-8, 0.5)
+        before = PathCounter(topo).effective_average_tor_fraction()
+        clone = topology_from_dict(topology_to_dict(topo))
+        link = clone.link(lid)
+        assert link.lg_capable and link.lg_protected
+        assert link.lg_effective_loss == 1e-8
+        assert link.lg_capacity_fraction == 0.5
+        assert clone.lg_protected_links() == {lid}
+        assert clone.switch("spare").num_ports == 48
+        assert PathCounter(clone).effective_average_tor_fraction() == before
+
+    def test_version_1_files_without_lg_fields_load(self):
+        data = topology_to_dict(build_clos(2, 2, 2, 4))
+        for entry in data["switches"]:
+            del entry["num_ports"]
+        for entry in data["links"]:
+            for key in (
+                "lg_capable",
+                "lg_protected",
+                "lg_effective_loss",
+                "lg_capacity_fraction",
+            ):
+                del entry[key]
+        clone = topology_from_dict(data)
+        assert not clone.lg_protected_links()
+        assert clone.switch("pod0/tor0").num_ports is None
+
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             topology_from_dict({"version": 99})
@@ -109,8 +144,7 @@ class TestNpzSerialization:
         assert topology_to_dict(clone) == topology_to_dict(topo)
         assert list(clone.link_ids()) == list(topo.link_ids())
 
-    def test_npz_preserves_lg_fields_json_path_does_not(self, tmp_path):
-        """The columnar archive is lossless beyond the JSON surface."""
+    def test_npz_preserves_lg_fields(self, tmp_path):
         from repro.topology import load_topology_npz, save_topology_npz
 
         topo = build_clos(2, 2, 2, 4)

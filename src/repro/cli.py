@@ -43,6 +43,7 @@ from typing import List, Optional
 #: so ``--help`` works without importing the simulation stack while the
 #: names stay pinned to the single canonical registry.
 from repro.registry import (
+    CHAOS_PRESETS as CHAOS_CHOICES,
     CONGESTION_PRESETS as CONGESTION_CHOICES,
     PENALTIES as PENALTY_CHOICES,
     SENSING_PIPELINES as SENSING_CHOICES,
@@ -1027,6 +1028,28 @@ def _read_lines(path: str) -> List[str]:
         return handle.read().splitlines()
 
 
+def _read_text(path: str) -> str:
+    return "\n".join(_read_lines(path))
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _check_artifact(path: str, loader, validator):
+    """``(data, problems)`` of one artifact file, loaded then validated.
+
+    A file that cannot be read or parsed is one problem, not a traceback,
+    so a corrupt artifact is reported like any other invalid one.
+    """
+    try:
+        data = loader(path)
+    except (OSError, ValueError) as exc:
+        return None, [f"unreadable: {exc}"]
+    return data, validator(data)
+
+
 def _print_audit(lines: List[str], limit: int) -> None:
     """Pretty-print an AuditLog JSONL export."""
     header = json.loads(lines[0]) if lines else {}
@@ -1226,12 +1249,91 @@ def _print_alerts_summary(lines: List[str]) -> None:
         )
 
 
+def _print_checkpoint_summary(path: str) -> None:
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline())
+    print(
+        f"checkpoint {path}: boundary "
+        f"{header['boundary_index']}, sim "
+        f"t={header['sim_time_s'] / 3600.0:.1f}h, "
+        f"{header['payload_bytes']} payload bytes, digest OK"
+    )
+
+
+def _print_scorecard_summary(card: dict) -> None:
+    from repro.obs import summarize_scorecard
+
+    for line in summarize_scorecard(card):
+        print(line)
+
+
+def _result_row(lines: List[str]) -> dict:
+    """The ``type="result"`` row of a validated service report."""
+    return next(
+        record
+        for record in (json.loads(line) for line in lines if line.strip())
+        if record.get("type") == "result"
+    )
+
+
+def _print_service_report_summary(path: str, lines: List[str]) -> None:
+    record = _result_row(lines)
+    print(
+        f"service report {path}: penalty "
+        f"{record.get('penalty_integral', 0.0):.3e}, "
+        f"fingerprint {record.get('fingerprint', '?')[:18]}..., "
+        f"invariants "
+        f"{'OK' if record.get('invariants_ok') else 'VIOLATED'}"
+    )
+
+
+def _scorecard_health(path: str, card: dict):
+    from repro.obs import summarize_scorecard
+
+    return card, summarize_scorecard(card)
+
+
+def _service_report_health(path: str, lines: List[str]):
+    from repro.obs.health import _fmt
+
+    health = _result_row(lines)["health"]
+    return health, [f"service health ({path}):"] + [
+        f"  {key}: {_fmt(health[key])}" for key in sorted(health)
+    ]
+
+
+def _sweep_health(path: str, lines: List[str]):
+    from repro.obs import aggregate_sweep_health
+
+    rows = [
+        record
+        for record in (json.loads(line) for line in lines[1:] if line.strip())
+        if record.get("status") == "ok"
+    ]
+    summary = aggregate_sweep_health(rows)
+    text = [
+        f"sweep health ({path}): "
+        f"{summary.get('jobs_with_health', 0)}/{summary['jobs']} "
+        "jobs carry health blocks"
+    ]
+    for key in sorted(summary):
+        value = summary[key]
+        if isinstance(value, dict):
+            text.append(
+                f"  {key}: min {value['min']:.6g} "
+                f"mean {value['mean']:.6g} max {value['max']:.6g}"
+            )
+        elif key not in ("jobs", "jobs_with_health"):
+            text.append(f"  {key}: {value}")
+    return summary, text
+
+
 def _cmd_health(args: argparse.Namespace) -> int:
     """Summarize health artifacts into per-shard / fleet scorecards."""
     from repro.obs import (
-        aggregate_sweep_health,
-        summarize_scorecard,
         validate_health_scorecard,
+        validate_service_report_jsonl,
+        validate_sweep_jsonl,
     )
 
     if not any((args.scorecard, args.service_report, args.sweep)):
@@ -1240,66 +1342,28 @@ def _cmd_health(args: argparse.Namespace) -> int:
         )
         return 2
     exit_code = 0
-    if args.scorecard:
-        with open(args.scorecard, "r", encoding="utf-8") as handle:
-            card = json.load(handle)
-        problems = validate_health_scorecard(card)
+    for path, loader, validator, summarize in (
+        (args.scorecard, _read_json, validate_health_scorecard,
+         _scorecard_health),
+        (args.service_report, _read_lines, validate_service_report_jsonl,
+         _service_report_health),
+        (args.sweep, _read_lines, validate_sweep_jsonl, _sweep_health),
+    ):
+        if not path:
+            continue
+        data, problems = _check_artifact(path, loader, validator)
         if problems:
-            print(f"{args.scorecard}: INVALID ({len(problems)} problem(s))")
+            print(f"{path}: INVALID ({len(problems)} problem(s))")
             for problem in problems:
                 print(f"  {problem}")
             exit_code = 1
-        elif args.json:
-            print(json.dumps(card, sort_keys=True, separators=(",", ":")))
-        else:
-            for line in summarize_scorecard(card):
-                print(line)
-    if args.service_report:
-        from repro.obs.health import _fmt
-
-        lines = _read_lines(args.service_report)
-        health = None
-        for line in lines:
-            record = json.loads(line)
-            if record.get("type") == "result":
-                health = record.get("health")
-                break
-        if health is None:
-            print(f"{args.service_report}: no health block in result row")
-            exit_code = 1
-        elif args.json:
-            print(json.dumps(health, sort_keys=True, separators=(",", ":")))
-        else:
-            print(f"service health ({args.service_report}):")
-            for key in sorted(health):
-                print(f"  {key}: {_fmt(health[key])}")
-    if args.sweep:
-        lines = _read_lines(args.sweep)
-        rows = [
-            record
-            for record in (
-                json.loads(line) for line in lines[1:] if line.strip()
-            )
-            if record.get("status") == "ok"
-        ]
-        summary = aggregate_sweep_health(rows)
+            continue
+        obj, text = summarize(path, data)
         if args.json:
-            print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+            print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
         else:
-            print(
-                f"sweep health ({args.sweep}): "
-                f"{summary.get('jobs_with_health', 0)}/{summary['jobs']} "
-                "jobs carry health blocks"
-            )
-            for key in sorted(summary):
-                value = summary[key]
-                if isinstance(value, dict):
-                    print(
-                        f"  {key}: min {value['min']:.6g} "
-                        f"mean {value['mean']:.6g} max {value['max']:.6g}"
-                    )
-                elif key not in ("jobs", "jobs_with_health"):
-                    print(f"  {key}: {value}")
+            for line in text:
+                print(line)
     return exit_code
 
 
@@ -1345,7 +1409,6 @@ def _cmd_bench_track(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import (
-        summarize_scorecard,
         validate_alerts_jsonl,
         validate_audit_jsonl,
         validate_checkpoint_file,
@@ -1357,10 +1420,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         validate_sweep_jsonl,
     )
 
-    if not any(
-        (args.audit, args.metrics, args.events, args.trace, args.sweep,
-         args.checkpoint, args.service_report, args.health, args.alerts)
-    ):
+    # (flag, loader, validator, summary), in print order.  A checkpoint
+    # is validated from its path, without unpickling.
+    artifacts = (
+        ("metrics", _read_text, validate_prometheus_text,
+         _print_metrics_summary),
+        ("events", _read_lines, validate_events_jsonl, _print_events_summary),
+        ("trace", _read_json, validate_chrome_trace, _print_trace_summary),
+        ("sweep", _read_lines, validate_sweep_jsonl, _print_sweep_summary),
+        ("audit", _read_lines, validate_audit_jsonl,
+         lambda lines: _print_audit(lines, args.limit)),
+        ("checkpoint", str, validate_checkpoint_file,
+         _print_checkpoint_summary),
+        ("health", _read_json, validate_health_scorecard,
+         _print_scorecard_summary),
+        ("alerts", _read_lines, validate_alerts_jsonl, _print_alerts_summary),
+        ("service_report", _read_lines, validate_service_report_jsonl,
+         lambda lines: _print_service_report_summary(
+             args.service_report, lines
+         )),
+    )
+    if not any(getattr(args, flag) for flag, *_ in artifacts):
         print(
             "nothing to inspect: pass --audit/--metrics/--events/--trace/"
             "--sweep/--checkpoint/--service-report/--health/--alerts"
@@ -1368,83 +1448,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 2
 
     problems: List[str] = []
-    if args.metrics:
-        text = "\n".join(_read_lines(args.metrics))
-        if args.validate:
-            problems += [f"{args.metrics}: {p}" for p in
-                         validate_prometheus_text(text)]
-        _print_metrics_summary(text)
-    if args.events:
-        lines = _read_lines(args.events)
-        if args.validate:
-            problems += [f"{args.events}: {p}" for p in
-                         validate_events_jsonl(lines)]
-        _print_events_summary(lines)
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        if args.validate:
-            problems += [f"{args.trace}: {p}" for p in
-                         validate_chrome_trace(obj)]
-        _print_trace_summary(obj)
-    if args.sweep:
-        lines = _read_lines(args.sweep)
-        if args.validate:
-            problems += [f"{args.sweep}: {p}" for p in
-                         validate_sweep_jsonl(lines)]
-        _print_sweep_summary(lines)
-    if args.audit:
-        lines = _read_lines(args.audit)
-        if args.validate:
-            problems += [f"{args.audit}: {p}" for p in
-                         validate_audit_jsonl(lines)]
-        _print_audit(lines, args.limit)
-    if args.checkpoint:
-        for path in args.checkpoint:
-            found = validate_checkpoint_file(path)
-            if args.validate:
-                problems += [f"{path}: {p}" for p in found]
-            if not found:
-                with open(path, "rb") as handle:
-                    header = json.loads(handle.readline())
-                print(
-                    f"checkpoint {path}: boundary "
-                    f"{header['boundary_index']}, sim "
-                    f"t={header['sim_time_s'] / 3600.0:.1f}h, "
-                    f"{header['payload_bytes']} payload bytes, digest OK"
-                )
+    for flag, loader, validator, summary in artifacts:
+        paths = getattr(args, flag) or []
+        for path in paths if isinstance(paths, list) else [paths]:
+            data, found = _check_artifact(path, loader, validator)
+            if found:
+                # A summary of an invalid artifact could crash on it.
+                print(f"{path}: INVALID ({len(found)} problem(s))")
+                problems += [f"{path}: {problem}" for problem in found]
             else:
-                print(f"checkpoint {path}: INVALID ({len(found)} problem(s))")
-    if args.health:
-        with open(args.health, "r", encoding="utf-8") as handle:
-            card = json.load(handle)
-        if args.validate:
-            problems += [f"{args.health}: {p}" for p in
-                         validate_health_scorecard(card)]
-        for line in summarize_scorecard(card):
-            print(line)
-    if args.alerts:
-        lines = _read_lines(args.alerts)
-        if args.validate:
-            problems += [f"{args.alerts}: {p}" for p in
-                         validate_alerts_jsonl(lines)]
-        _print_alerts_summary(lines)
-    if args.service_report:
-        lines = _read_lines(args.service_report)
-        if args.validate:
-            problems += [f"{args.service_report}: {p}" for p in
-                         validate_service_report_jsonl(lines)]
-        for line in lines:
-            record = json.loads(line)
-            if record.get("type") == "result":
-                print(
-                    f"service report {args.service_report}: penalty "
-                    f"{record.get('penalty_integral', 0.0):.3e}, "
-                    f"fingerprint {record.get('fingerprint', '?')[:18]}..., "
-                    f"invariants "
-                    f"{'OK' if record.get('invariants_ok') else 'VIOLATED'}"
-                )
-                break
+                summary(data)
 
     if args.validate:
         if problems:
@@ -1681,7 +1694,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--preset",
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="named fault mix (overrides the individual rate flags)",
     )
     chaos.add_argument("--missed-polls", type=float, default=0.0)
@@ -1765,7 +1778,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     localize.add_argument(
         "--chaos-preset", default="none",
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="telemetry-fault mix layered under every cell",
     )
     localize.add_argument("--seeds", default="0", metavar="LIST",
@@ -1810,7 +1823,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-seed", type=int, default=0)
     serve.add_argument(
         "--chaos-preset", default=None,
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="inject this telemetry-fault mix into the live stream",
     )
     serve.add_argument(

@@ -34,12 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.core.penalty import linear_penalty
-from repro.obs.slo import (
+from repro.obs.schema import (
     ALERTS_FORMAT,
     ALERTS_FORMAT_VERSION,
-    SLOEngine,
-    SLORule,
+    HEALTH_FORMAT,
+    HEALTH_FORMAT_VERSION,
 )
+from repro.obs.slo import SLOEngine, SLORule
 
 __all__ = [
     "HEALTH_FORMAT",
@@ -55,10 +56,6 @@ __all__ = [
 ]
 
 LinkId = Tuple[str, str]
-
-HEALTH_FORMAT = "repro-health-scorecard"
-#: Bumped when the scorecard layout changes incompatibly.
-HEALTH_FORMAT_VERSION = 1
 
 #: Scorecards list at most this many per-link rows (plus an omitted count)
 #: so fleet-scale runs stay bounded.

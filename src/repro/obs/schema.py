@@ -1,9 +1,18 @@
-"""Schema validation for the three exporter formats.
+"""Schema validation for every artifact the program writes.
 
 Shared by the golden-file tests, the ``repro obs --validate`` CLI, and the
 CI artifact job, so "the emitted artifact is well-formed" means the same
 thing everywhere.  Validators collect human-readable problems instead of
 raising: an empty list means valid.
+
+Each artifact's shape is data.  A *field table* maps a key to a kind: a
+name from :data:`_KINDS`, a tuple of the allowed values, or a nested
+table for an object-valued field.  One checker, :func:`_fields`, applies
+a table to an object; one walker, :func:`_jsonl`, parses the
+header-first JSONL streams (events, audit, sweep, service report,
+alerts).  Only rules that relate records or values to each other stay as
+code in the validators: row counts, row order, ranks, digests.  The
+Prometheus snapshot is a line grammar, not JSON, and has its own parser.
 """
 
 from __future__ import annotations
@@ -11,10 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Dict, List, Sequence
+import reprlib
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.registry import SENSING_PIPELINES as _SENSING_PIPELINES
 from repro.registry import STRATEGIES as SWEEP_STRATEGY_NAMES
+from repro.registry import TOPO_KINDS as _TOPO_KINDS
 
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -79,90 +90,124 @@ def validate_prometheus_text(text: str) -> List[str]:
     return problems
 
 
-def validate_events_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with a JSONL event stream (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != "repro-obs-events":
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") != "event":
-            problems.append(f"line {lineno}: unknown type {record.get('type')!r}")
-        if not isinstance(record.get("name"), str):
-            problems.append(f"line {lineno}: missing string 'name'")
-        if not isinstance(record.get("sim_time_s"), (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-    return problems
+# --------------------------------------------------------------------- #
+# The type vocabulary and the two engines
+# --------------------------------------------------------------------- #
 
 
-def validate_chrome_trace(obj: object) -> List[str]:
-    """Problems with a Chrome-trace object (empty list = valid)."""
-    problems: List[str] = []
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_num(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TRACE_PHASES = ("X", "M", "B", "E", "i")
+
+#: kind -> (label, predicate).  ``int`` and ``num`` never accept a bool;
+#: ``metric`` (benchmark metric values) does.  A ``?`` kind also accepts
+#: null, and an absent key reads as null.
+_KINDS = {
+    "int": ("integer", _is_int),
+    "int>=0": ("non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "int>0": ("positive integer", lambda v: _is_int(v) and v > 0),
+    "num": ("numeric", _is_num),
+    "num>=0": ("non-negative numeric", lambda v: _is_num(v) and v >= 0),
+    "num?": ("numeric or null", lambda v: v is None or _is_num(v)),
+    "metric": ("numeric", lambda v: isinstance(v, (int, float))),
+    "str": ("string", lambda v: isinstance(v, str)),
+    "str?": ("string or null", lambda v: v is None or isinstance(v, str)),
+    "text": ("non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "bool": ("boolean", lambda v: isinstance(v, bool)),
+    "obj": ("object", lambda v: isinstance(v, dict)),
+    "obj+": ("non-empty object", lambda v: isinstance(v, dict) and bool(v)),
+    "list": ("list", lambda v: isinstance(v, list)),
+    "list+": ("non-empty list", lambda v: isinstance(v, list) and bool(v)),
+    "sha256": (
+        "'sha256:' digest",
+        lambda v: isinstance(v, str) and v.startswith("sha256:"),
+    ),
+    "phase": ("trace phase X/M/B/E/i", lambda v: v in _TRACE_PHASES),
+}
+
+
+def _kind(kind) -> Tuple[str, Callable[[object], bool]]:
+    """(label, predicate) of a kind name or a tuple of allowed values."""
+    if not isinstance(kind, tuple):
+        return _KINDS[kind]
+    label = repr(kind[0]) if len(kind) == 1 else (
+        "one of " + ", ".join(map(repr, kind))
+    )
+    # Matching the type keeps True from passing for 1 (and 1 for True).
+    return label, lambda v: any(
+        type(v) is type(allowed) and v == allowed for allowed in kind
+    )
+
+
+def _fields(
+    obj: object, table: Dict, where: str = "", prefix: str = ""
+) -> List[str]:
+    """Problems with ``obj`` against the ``{key: kind}`` field ``table``.
+
+    ``where`` locates the object in its artifact (``"line 3"``); a nested
+    table checks an object-valued field, naming its keys ``prefix``-dotted.
+    """
+    lead = f"{where}: " if where else ""
     if not isinstance(obj, dict):
-        return ["trace is not a JSON object"]
-    events = obj.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing 'traceEvents' list"]
-    other = obj.get("otherData")
-    if not isinstance(other, dict) or not other.get("repro_version"):
-        problems.append("missing otherData.repro_version provenance")
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(event.get("name"), str):
-            problems.append(f"{where}: missing string 'name'")
-        ph = event.get("ph")
-        if ph not in ("X", "M", "B", "E", "i"):
-            problems.append(f"{where}: unsupported phase {ph!r}")
-        if ph == "X":
-            for key in ("ts", "dur"):
-                value = event.get(key)
-                if not isinstance(value, (int, float)) or value < 0:
-                    problems.append(f"{where}: bad {key!r} {value!r}")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                problems.append(f"{where}: missing integer {key!r}")
+        return [f"{lead}not an object"]
+    problems: List[str] = []
+    for key, kind in table.items():
+        name, value = prefix + key, obj.get(key)
+        if isinstance(kind, dict):
+            if isinstance(value, dict):
+                problems += _fields(value, kind, where, f"{name}.")
+                continue
+            label = "object"
+        else:
+            label, ok = _kind(kind)
+            if ok(value):
+                continue
+        if key in obj:
+            problems.append(
+                f"{lead}bad {name!r}: {reprlib.repr(value)} (want {label})"
+            )
+        else:
+            problems.append(f"{lead}missing {name!r} (want {label})")
     return problems
 
 
-def validate_audit_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with an AuditLog JSONL export (empty list = valid)."""
-    problems: List[str] = []
+def _values(obj: Dict, kind, where: str = "", prefix: str = "") -> List[str]:
+    """Problems with every value of the object ``obj`` against ``kind``."""
+    return _fields(obj, dict.fromkeys(obj, kind), where, prefix)
+
+
+def _items(value: object):
+    """``enumerate(value)`` for a list; nothing otherwise."""
+    return enumerate(value) if isinstance(value, list) else ()
+
+
+def _members(value: object):
+    """``value.items()`` for an object; nothing otherwise."""
+    return value.items() if isinstance(value, dict) else ()
+
+
+def _jsonl(lines: Sequence[str], header_table: Dict):
+    """Walk a header-first JSONL stream.
+
+    Returns ``(problems, header, records)``: the header's problems against
+    ``header_table`` plus one per unparseable or non-object line, the
+    parsed header (``{}`` if it is not an object), and the
+    ``(lineno, record)`` pairs of every object line after it.
+    """
     if not lines:
-        return ["empty stream"]
+        return ["empty stream"], {}, []
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    elif header.get("format") != "repro-audit":
-        problems.append("line 1: wrong or missing 'format'")
+        return [f"line 1: invalid JSON ({exc})"], {}, []
+    problems = _fields(header, header_table, "line 1")
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -171,19 +216,49 @@ def validate_audit_jsonl(lines: Sequence[str]) -> List[str]:
         except json.JSONDecodeError as exc:
             problems.append(f"line {lineno}: invalid JSON ({exc})")
             continue
-        if not isinstance(record, dict):
+        if isinstance(record, dict):
+            records.append((lineno, record))
+        else:
             problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") != "decision":
-            problems.append(
-                f"line {lineno}: unknown type {record.get('type')!r}"
-            )
-        if not isinstance(record.get("sim_time_s"), (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-        if not isinstance(record.get("verdict"), str):
-            problems.append(f"line {lineno}: missing string 'verdict'")
-    return problems
+    return problems, header if isinstance(header, dict) else {}, records
 
+
+def _provenance(fmt: str, version="int") -> Dict:
+    """Field table of the format / version / repro_version stamp."""
+    return {
+        "format": (fmt,),
+        "format_version": version,
+        "repro_version": "text",
+    }
+
+
+def _stream_header(fmt: str, version="int", **extra) -> Dict:
+    """Field table of a JSONL stream's header line."""
+    return {"type": ("header",), **_provenance(fmt, version), **extra}
+
+
+# --------------------------------------------------------------------- #
+# Format literals, declared once here and imported by the writers
+# --------------------------------------------------------------------- #
+
+CHECKPOINT_FORMAT = "repro-checkpoint"
+#: Bumped when the checkpoint header or payload layout changes.
+CHECKPOINT_FORMAT_VERSION = 1
+SERVICE_REPORT_FORMAT = "repro-service-report"
+#: Bumped when the service report layout changes incompatibly.
+SERVICE_REPORT_FORMAT_VERSION = 1
+HEALTH_FORMAT = "repro-health-scorecard"
+#: Bumped when the scorecard layout changes incompatibly.
+HEALTH_FORMAT_VERSION = 1
+ALERTS_FORMAT = "repro-health-alerts"
+#: Bumped when the alert record layout changes incompatibly.
+ALERTS_FORMAT_VERSION = 1
+BENCH_TRAJECTORY_FORMAT = "repro-bench-trajectory"
+BENCH_TRAJECTORY_FORMAT_VERSION = 1
+
+# --------------------------------------------------------------------- #
+# Field tables
+# --------------------------------------------------------------------- #
 
 #: ``SWEEP_STRATEGY_NAMES`` (the strategy names a sweep/tournament row
 #: may carry) is an alias into :mod:`repro.registry` — itself
@@ -203,85 +278,239 @@ CHAOS_COUNT_COLUMNS = (
     "capacity_violations",
 )
 
+#: Numeric health columns every ok per-DCN entry of a fleet roll-up row
+#: must carry.
+FLEET_DCN_COLUMNS = (
+    "penalty_integral",
+    "mean_penalty",
+    "onsets",
+    "disabled_on_onset",
+    "repairs_completed",
+    "failed_repairs",
+    "worst_tor_fraction_min",
+)
 
-def _chaos_row_problems(chaos: object, lineno: int) -> List[str]:
-    """Problems with one ok chaos row's ``chaos`` column block."""
-    if not isinstance(chaos, dict):
-        return [f"line {lineno}: chaos job missing object 'chaos'"]
-    problems: List[str] = []
-    if not isinstance(chaos.get("invariants_ok"), bool):
-        problems.append(
-            f"line {lineno}: chaos block missing boolean 'invariants_ok'"
-        )
-    if not isinstance(chaos.get("preset"), str):
-        problems.append(f"line {lineno}: chaos block missing 'preset'")
-    if not isinstance(chaos.get("detection_lag_polls"), (int, float)):
-        problems.append(
-            f"line {lineno}: chaos block missing numeric "
-            "'detection_lag_polls'"
-        )
-    for key in CHAOS_COUNT_COLUMNS:
-        value = chaos.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(
-                f"line {lineno}: chaos block missing integer {key!r}"
-            )
+_EVENTS_HEADER = _stream_header("repro-obs-events")
+_EVENT = {"type": ("event",), "name": "str", "sim_time_s": "num"}
+
+_AUDIT_HEADER = {"type": ("header",), "format": ("repro-audit",)}
+_DECISION = {"type": ("decision",), "sim_time_s": "num", "verdict": "str"}
+
+_TRACE = {"traceEvents": "list", "otherData": {"repro_version": "text"}}
+_TRACE_EVENT = {"name": "str", "ph": "phase", "pid": "int", "tid": "int"}
+#: Complete (``ph == "X"``) events also carry a start and a duration.
+_TRACE_SPAN = {"ts": "num>=0", "dur": "num>=0"}
+
+_CHAOS_COUNTS = dict.fromkeys(CHAOS_COUNT_COLUMNS, "int")
+
+#: The compact per-run health block (``HealthReport.row()``).
+_HEALTH = {
+    **dict.fromkeys(
+        ("detections", "detection_pending", "false_disables",
+         "quarantine_peak", "alerts_fired"),
+        "int",
+    ),
+    **dict.fromkeys(
+        ("detection_latency_p50_s", "detection_latency_p95_s",
+         "ttm_p50_s", "ttm_p95_s", "headroom_min"),
+        "num?",
+    ),
+    "false_disable_rate": "num",
+    "breaker_open_duty": "num",
+    "slo_ok": "bool",
+}
+
+#: The sweep-row diagnosis block (``DiagnosisStats.row()`` plus the spec
+#: axes stamped by the aggregator); every ``precision_*``/``recall_*``
+#: column is numeric or null besides.
+_DIAGNOSIS = {
+    "sensing": _SENSING_PIPELINES,
+    "congestion_preset": "str?",
+    "miswire_pairs": "int>=0",
+    "diagnoses": "int",
+    "congestion_mitigations": "int",
+    "missed_corrupting": "int",
+}
+
+_SWEEP_HEADER = _stream_header(
+    "repro-sweep", jobs_total="int", grid_digest="sha256"
+)
+_RESULT = {
+    "job": "int",
+    "spec": "obj",
+    "seed_used": "int",
+    "status": ("ok", "failed"),
+}
+#: Ok rows of every job kind but ``calibrate``.
+_OK_RESULT = {
+    "penalty_integral": "num",
+    "duration_s": "num",
+    "series_digest": "sha256",
+}
+#: Ok ``chaos`` rows besides (the diagnosis block is optional).
+_CHAOS_RESULT = {
+    "chaos": {
+        "invariants_ok": "bool",
+        "preset": "str",
+        "detection_lag_polls": "num",
+        **_CHAOS_COUNTS,
+    },
+    "health": _HEALTH,
+}
+_FAILED_RESULT = {"error": {"kind": "text"}}
+
+_LEADERBOARD = {
+    "preset": "str",
+    "penalty": "str",
+    "capacity": "num",
+    "lg_coverage": "num",
+    "entries": "list+",
+}
+_LEADERBOARD_ENTRY = {
+    "strategy": SWEEP_STRATEGY_NAMES,
+    "mean_penalty_integral": "num",
+    "runs": "int>0",
+}
+
+_FLEET = {
+    **dict.fromkeys(("dcns", "ok", "failed", "links_design_total"), "int"),
+    **dict.fromkeys(
+        ("penalty_integral_total", "onsets_total", "repairs_total"), "num"
+    ),
+    "health": dict.fromkeys(
+        ("healthy_dcns", "degraded_dcns", "failed_dcns"), "int"
+    ),
+    "per_dcn": "list+",
+}
+_FLEET_DCN = {
+    "dcn": "str",
+    "topo_kind": _TOPO_KINDS,
+    "healthy": "bool",
+    "status": ("ok", "failed"),
+}
+_FLEET_DCN_OK = dict.fromkeys(FLEET_DCN_COLUMNS, "num")
+
+_CHECKPOINT = {
+    **_provenance(CHECKPOINT_FORMAT, (CHECKPOINT_FORMAT_VERSION,)),
+    "sim_time_s": "num",
+    "boundary_index": "int",
+    "config": "obj",
+    "payload_bytes": "int",
+    "state_digest": "str",
+}
+
+_SERVICE_HEADER = _stream_header(
+    SERVICE_REPORT_FORMAT, config="obj", shards="int>0"
+)
+_SERVICE_RESULT = {
+    "penalty_integral": "num",
+    "mean_penalty": "num",
+    "fingerprint": "sha256",
+    "invariants_ok": "bool",
+    "chaos": _CHAOS_COUNTS,
+    "queue": {
+        "accounting_ok": (True,),
+        **dict.fromkeys(
+            ("offered", "accepted", "deferred", "requeued", "dropped",
+             "drained", "pending", "backpressure_losses"),
+            "int",
+        ),
+    },
+    "audit": {"evicted_decisions": "int"},
+    "health": _HEALTH,
+}
+_SERVICE_SHARD = {"log": "obj", "links": "int", "tors": "int"}
+
+_BENCH_RECORD = {
+    **_provenance("repro-benchmark"),
+    "name": "text",
+    "environment": {"cpus": "int"},
+    "metrics": "obj+",
+}
+
+_SCORECARD = {
+    **_provenance(HEALTH_FORMAT, (HEALTH_FORMAT_VERSION,)),
+    "sensing": ("telemetry", "oracle"),
+    "complete": "bool",
+    "end_s": "num",
+    "fleet": "obj",
+    "shards": "list",
+    "links": "list",
+    "links_omitted": "int",
+    "slo": {
+        "rules": "list",
+        "alerts": "list",
+        "alerts_fired": "int",
+        "ok": "bool",
+    },
+}
+#: The fleet sections of a telemetry-sensing scorecard.
+_TELEMETRY_FLEET = {
+    "detection": dict.fromkeys(("count", "pending", "overdue"), "int"),
+    "mitigation": "obj",
+    "disables": {"false_rate": "num"},
+    "penalty": "obj",
+    "capacity": "obj",
+    "quarantine": "obj",
+    "breaker": "obj",
+    "debounce": "obj",
+}
+_SCORECARD_LINK = {"link": "str", "onset_s": "num"}
+_SLO_RULE = {"state": ("ok", "firing")}
+
+_ALERTS_HEADER = _stream_header(
+    ALERTS_FORMAT, (ALERTS_FORMAT_VERSION,), rules="list", alerts="int"
+)
+_ALERT = {
+    "type": ("alert",),
+    "sim_time_s": "num",
+    "rule": "str",
+    "state": ("firing", "resolved"),
+    "severity": ("info", "warning", "critical"),
+    "value": "num",
+}
+
+_TRAJECTORY = {
+    **_provenance(
+        BENCH_TRAJECTORY_FORMAT, (BENCH_TRAJECTORY_FORMAT_VERSION,)
+    ),
+    "benchmarks": "obj+",
+    "baseline": "obj",
+}
+_TRAJECTORY_ENTRY = {"metrics": "obj+", "runtime_metrics": "list"}
+
+# --------------------------------------------------------------------- #
+# Validators: the tables plus the cross-record rules
+# --------------------------------------------------------------------- #
+
+
+def validate_events_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with a JSONL event stream (empty list = valid)."""
+    problems, _, records = _jsonl(lines, _EVENTS_HEADER)
+    for lineno, record in records:
+        problems += _fields(record, _EVENT, f"line {lineno}")
     return problems
 
 
-#: Keys of the compact per-run health block (HealthReport.row()) with
-#: their expected shapes: int counters, numeric-or-null latencies,
-#: numeric rates, one boolean verdict.
-_HEALTH_ROW_INT_KEYS = (
-    "detections",
-    "detection_pending",
-    "false_disables",
-    "quarantine_peak",
-    "alerts_fired",
-)
-_HEALTH_ROW_OPTIONAL_NUM_KEYS = (
-    "detection_latency_p50_s",
-    "detection_latency_p95_s",
-    "ttm_p50_s",
-    "ttm_p95_s",
-    "headroom_min",
-)
-_HEALTH_ROW_NUM_KEYS = ("false_disable_rate", "breaker_open_duty")
-
-
-def _health_row_problems(health: object, where: str) -> List[str]:
-    """Problems with one compact ``health`` block (empty list = valid)."""
-    if not isinstance(health, dict):
-        return [f"{where}: 'health' is not an object"]
-    problems: List[str] = []
-    for key in _HEALTH_ROW_INT_KEYS:
-        value = health.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{where}: health missing integer {key!r}")
-    for key in _HEALTH_ROW_OPTIONAL_NUM_KEYS:
-        value = health.get(key)
-        if value is not None and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-        ):
-            problems.append(
-                f"{where}: health {key!r} must be numeric or null"
-            )
-    for key in _HEALTH_ROW_NUM_KEYS:
-        value = health.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{where}: health missing numeric {key!r}")
-    if not isinstance(health.get("slo_ok"), bool):
-        problems.append(f"{where}: health missing boolean 'slo_ok'")
+def validate_chrome_trace(obj: object) -> List[str]:
+    """Problems with a Chrome-trace object (empty list = valid)."""
+    if not isinstance(obj, dict):
+        return ["trace is not a JSON object"]
+    problems = _fields(obj, _TRACE)
+    for index, event in _items(obj.get("traceEvents")):
+        where = f"traceEvents[{index}]"
+        problems += _fields(event, _TRACE_EVENT, where)
+        if isinstance(event, dict) and event.get("ph") == "X":
+            problems += _fields(event, _TRACE_SPAN, where)
     return problems
 
 
-#: Integer counters every sweep-row ``diagnosis`` block must carry
-#: (DiagnosisStats.row() plus the spec axes stamped by the aggregator).
-_DIAGNOSIS_ROW_INT_KEYS = (
-    "diagnoses",
-    "congestion_mitigations",
-    "missed_corrupting",
-)
+def validate_audit_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with an AuditLog JSONL export (empty list = valid)."""
+    problems, _, records = _jsonl(lines, _AUDIT_HEADER)
+    for lineno, record in records:
+        problems += _fields(record, _DECISION, f"line {lineno}")
+    return problems
 
 
 def _diagnosis_row_problems(diagnosis: object, where: str) -> List[str]:
@@ -295,256 +524,87 @@ def _diagnosis_row_problems(diagnosis: object, where: str) -> List[str]:
     """
     if not isinstance(diagnosis, dict):
         return [f"{where}: 'diagnosis' is not an object"]
-    problems: List[str] = []
-    if diagnosis.get("sensing") not in _SENSING_PIPELINES:
-        problems.append(
-            f"{where}: diagnosis has unknown sensing "
-            f"{diagnosis.get('sensing')!r}"
-        )
-    preset = diagnosis.get("congestion_preset")
-    if preset is not None and not isinstance(preset, str):
-        problems.append(
-            f"{where}: diagnosis 'congestion_preset' must be string or null"
-        )
-    pairs = diagnosis.get("miswire_pairs")
-    if not isinstance(pairs, int) or isinstance(pairs, bool) or pairs < 0:
-        problems.append(
-            f"{where}: diagnosis missing non-negative integer 'miswire_pairs'"
-        )
-    for key in _DIAGNOSIS_ROW_INT_KEYS:
-        value = diagnosis.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{where}: diagnosis missing integer {key!r}")
-    for key, value in diagnosis.items():
-        if not key.startswith(("precision_", "recall_")):
-            continue
-        if value is not None and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-        ):
-            problems.append(
-                f"{where}: diagnosis {key!r} must be numeric or null"
-            )
+    rates = [k for k in diagnosis if k.startswith(("precision_", "recall_"))]
+    table = {**_DIAGNOSIS, **dict.fromkeys(rates, "num?")}
+    return _fields(diagnosis, table, where, "diagnosis.")
+
+
+def _result_row_problems(record: Dict, where: str) -> List[str]:
+    """Problems with one ``type="result"`` sweep row."""
+    problems = _fields(record, _RESULT, where)
+    spec = record.get("spec")
+    job_kind = spec.get("kind") if isinstance(spec, dict) else None
+    status = record.get("status")
+    if status == "failed":
+        problems += _fields(record, _FAILED_RESULT, where)
+    elif status == "ok" and job_kind != "calibrate":
+        problems += _fields(record, _OK_RESULT, where)
+        if job_kind == "chaos":
+            problems += _fields(record, _CHAOS_RESULT, where)
+            if "diagnosis" in record:
+                problems += _diagnosis_row_problems(record["diagnosis"], where)
     return problems
 
 
-def _leaderboard_row_problems(record: Dict, lineno: int) -> List[str]:
+def _leaderboard_row_problems(record: Dict, where: str) -> List[str]:
     """Problems with one ``type="leaderboard"`` tournament row."""
-    problems: List[str] = []
-    for key in ("preset", "penalty"):
-        if not isinstance(record.get(key), str):
-            problems.append(f"line {lineno}: leaderboard missing string {key!r}")
-    for key in ("capacity", "lg_coverage"):
-        if not isinstance(record.get(key), (int, float)):
-            problems.append(
-                f"line {lineno}: leaderboard missing numeric {key!r}"
-            )
-    entries = record.get("entries")
-    if not isinstance(entries, list) or not entries:
-        return problems + [
-            f"line {lineno}: leaderboard missing non-empty 'entries'"
-        ]
-    for position, entry in enumerate(entries):
-        where = f"line {lineno}: entries[{position}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        rank = entry.get("rank")
-        if not isinstance(rank, int) or rank != position + 1:
-            problems.append(f"{where}: bad rank {rank!r} (want {position + 1})")
-        strategy = entry.get("strategy")
-        if strategy not in SWEEP_STRATEGY_NAMES:
-            problems.append(f"{where}: unknown strategy {strategy!r}")
-        if not isinstance(entry.get("mean_penalty_integral"), (int, float)):
-            problems.append(f"{where}: missing numeric 'mean_penalty_integral'")
-        runs = entry.get("runs")
-        if not isinstance(runs, int) or runs <= 0:
-            problems.append(f"{where}: missing positive integer 'runs'")
+    problems = _fields(record, _LEADERBOARD, where)
+    for position, entry in _items(record.get("entries")):
+        # The rank is the 1-based position in the ranked list.
+        table = {"rank": (position + 1,), **_LEADERBOARD_ENTRY}
+        problems += _fields(entry, table, f"{where}: entries[{position}]")
     return problems
 
 
-#: Numeric health columns every ok per-DCN entry of a fleet roll-up row
-#: must carry.
-FLEET_DCN_COLUMNS = (
-    "penalty_integral",
-    "mean_penalty",
-    "onsets",
-    "disabled_on_onset",
-    "repairs_completed",
-    "failed_repairs",
-    "worst_tor_fraction_min",
-)
-
-
-def _fleet_row_problems(record: Dict, lineno: int) -> List[str]:
+def _fleet_row_problems(record: Dict, where: str) -> List[str]:
     """Problems with one ``type="fleet"`` roll-up row."""
-    problems: List[str] = []
-    for key in ("dcns", "ok", "failed", "links_design_total"):
-        value = record.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"line {lineno}: fleet missing integer {key!r}")
-    for key in ("penalty_integral_total", "onsets_total", "repairs_total"):
-        value = record.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"line {lineno}: fleet missing numeric {key!r}")
-    health = record.get("health")
-    if not isinstance(health, dict):
-        problems.append(f"line {lineno}: fleet missing object 'health'")
-    else:
-        for key in ("healthy_dcns", "degraded_dcns", "failed_dcns"):
-            value = health.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(
-                    f"line {lineno}: fleet health missing integer {key!r}"
-                )
+    problems = _fields(record, _FLEET, where)
     per_dcn = record.get("per_dcn")
-    if not isinstance(per_dcn, list) or not per_dcn:
-        return problems + [
-            f"line {lineno}: fleet missing non-empty 'per_dcn'"
-        ]
-    if isinstance(record.get("dcns"), int) and len(per_dcn) != record["dcns"]:
+    dcns = record.get("dcns")
+    if isinstance(per_dcn, list) and _is_int(dcns) and len(per_dcn) != dcns:
         problems.append(
-            f"line {lineno}: fleet says dcns={record['dcns']} but "
-            f"per_dcn has {len(per_dcn)} entries"
+            f"{where}: fleet says dcns={dcns} but per_dcn has "
+            f"{len(per_dcn)} entries"
         )
-    for position, entry in enumerate(per_dcn):
-        where = f"line {lineno}: per_dcn[{position}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(entry.get("dcn"), str):
-            problems.append(f"{where}: missing string 'dcn'")
-        if entry.get("topo_kind") not in ("clos", "fattree"):
-            problems.append(
-                f"{where}: bad topo_kind {entry.get('topo_kind')!r}"
-            )
-        if not isinstance(entry.get("healthy"), bool):
-            problems.append(f"{where}: missing boolean 'healthy'")
-        status = entry.get("status")
-        if status not in ("ok", "failed"):
-            problems.append(f"{where}: bad status {status!r}")
-        elif status == "ok":
-            for key in FLEET_DCN_COLUMNS:
-                value = entry.get(key)
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    problems.append(f"{where}: missing numeric {key!r}")
+    for position, entry in _items(per_dcn):
+        at = f"{where}: per_dcn[{position}]"
+        problems += _fields(entry, _FLEET_DCN, at)
+        if isinstance(entry, dict) and entry.get("status") == "ok":
+            problems += _fields(entry, _FLEET_DCN_OK, at)
     return problems
+
+
+#: Sweep row type -> its checker.  Tournament files append ranked
+#: leaderboard rows and fleet files one roll-up row after the result
+#: rows; only result rows count toward ``jobs_total``.
+_SWEEP_ROWS = {
+    "result": _result_row_problems,
+    "leaderboard": _leaderboard_row_problems,
+    "fleet": _fleet_row_problems,
+}
 
 
 def validate_sweep_jsonl(lines: Sequence[str]) -> List[str]:
     """Problems with a ``repro sweep`` JSONL export (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != "repro-sweep":
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("jobs_total"), int):
-            problems.append("line 1: missing integer 'jobs_total'")
-        digest = header.get("grid_digest", "")
-        if not (isinstance(digest, str) and digest.startswith("sha256:")):
-            problems.append("line 1: missing sha256 'grid_digest'")
-
+    problems, header, records = _jsonl(lines, _SWEEP_HEADER)
     jobs_seen = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, record in records:
+        row_type = record.get("type")
+        # The type is outside input: it may be unhashable.
+        check = _SWEEP_ROWS.get(row_type) if isinstance(row_type, str) else None
+        if check is None:
+            problems.append(f"line {lineno}: unknown type {row_type!r}")
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") == "leaderboard":
-            # Tournament files append ranked leaderboard rows after the
-            # result rows; they do not count toward jobs_total.
-            problems.extend(_leaderboard_row_problems(record, lineno))
-            continue
-        if record.get("type") == "fleet":
-            # Fleet files append one roll-up row after the per-DCN
-            # result rows; it does not count toward jobs_total.
-            problems.extend(_fleet_row_problems(record, lineno))
-            continue
-        if record.get("type") != "result":
-            problems.append(
-                f"line {lineno}: unknown type {record.get('type')!r}"
-            )
-            continue
-        jobs_seen += 1
-        if not isinstance(record.get("job"), int):
-            problems.append(f"line {lineno}: missing integer 'job'")
-        if not isinstance(record.get("spec"), dict):
-            problems.append(f"line {lineno}: missing object 'spec'")
-        if not isinstance(record.get("seed_used"), int):
-            problems.append(f"line {lineno}: missing integer 'seed_used'")
-        status = record.get("status")
-        if status not in ("ok", "failed"):
-            problems.append(f"line {lineno}: bad status {status!r}")
-        elif status == "ok" and record.get("spec", {}).get("kind") != (
-            "calibrate"
-        ):
-            for key in ("penalty_integral", "duration_s"):
-                if not isinstance(record.get(key), (int, float)):
-                    problems.append(
-                        f"line {lineno}: ok result missing numeric {key!r}"
-                    )
-            digest = record.get("series_digest", "")
-            if not (isinstance(digest, str) and digest.startswith("sha256:")):
-                problems.append(
-                    f"line {lineno}: missing sha256 'series_digest'"
-                )
-            if record.get("spec", {}).get("kind") == "chaos":
-                problems.extend(
-                    _chaos_row_problems(record.get("chaos"), lineno)
-                )
-                problems.extend(
-                    _health_row_problems(
-                        record.get("health"), f"line {lineno}"
-                    )
-                )
-                if "diagnosis" in record:
-                    problems.extend(
-                        _diagnosis_row_problems(
-                            record["diagnosis"], f"line {lineno}"
-                        )
-                    )
-        elif status == "failed":
-            error = record.get("error")
-            if not (isinstance(error, dict) and error.get("kind")):
-                problems.append(
-                    f"line {lineno}: failed result missing structured 'error'"
-                )
-    if isinstance(header, dict) and isinstance(header.get("jobs_total"), int):
-        if jobs_seen != header["jobs_total"]:
-            problems.append(
-                f"header says jobs_total={header['jobs_total']} but stream "
-                f"has {jobs_seen} result rows"
-            )
+        if row_type == "result":
+            jobs_seen += 1
+        problems += check(record, f"line {lineno}")
+    jobs_total = header.get("jobs_total")
+    if _is_int(jobs_total) and jobs_seen != jobs_total:
+        problems.append(
+            f"header says jobs_total={jobs_total} but stream has "
+            f"{jobs_seen} result rows"
+        )
     return problems
-
-
-#: Checkpoint literals, kept inline so the schema module stays
-#: import-light; pinned against :mod:`repro.service.checkpoint` by the
-#: service tests.
-CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 1
-
-#: Service-report literals, pinned against :mod:`repro.service.service`.
-SERVICE_REPORT_FORMAT = "repro-service-report"
-SERVICE_REPORT_FORMAT_VERSION = 1
 
 
 def validate_checkpoint_file(path) -> List[str]:
@@ -568,157 +628,47 @@ def validate_checkpoint_file(path) -> List[str]:
         return [f"header line is not JSON ({exc})"]
     if not isinstance(header, dict):
         return ["header is not an object"]
-    problems: List[str] = []
-    if header.get("format") != CHECKPOINT_FORMAT:
-        problems.append(f"wrong or missing 'format' {header.get('format')!r}")
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {header.get('format_version')!r}"
-        )
-    if not header.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    if not isinstance(header.get("sim_time_s"), (int, float)):
-        problems.append("missing numeric 'sim_time_s'")
-    if not isinstance(header.get("boundary_index"), int):
-        problems.append("missing integer 'boundary_index'")
-    if not isinstance(header.get("config"), dict):
-        problems.append("missing object 'config'")
+    problems = _fields(header, _CHECKPOINT)
     payload = raw[newline + 1 :]
-    if header.get("payload_bytes") != len(payload):
+    declared = header.get("payload_bytes")
+    if _is_int(declared) and declared != len(payload):
         problems.append(
-            f"payload is {len(payload)} bytes, header says "
-            f"{header.get('payload_bytes')!r}"
+            f"payload is {len(payload)} bytes, 'payload_bytes' says {declared}"
         )
     digest = header.get("state_digest")
-    if not isinstance(digest, str):
-        problems.append("missing 'state_digest'")
-    elif hashlib.sha256(payload).hexdigest() != digest:
+    if isinstance(digest, str) and (
+        hashlib.sha256(payload).hexdigest() != digest
+    ):
         problems.append("state_digest mismatch (corrupt payload)")
     return problems
 
 
 def validate_service_report_jsonl(lines: Sequence[str]) -> List[str]:
     """Problems with a ``repro serve`` report (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != SERVICE_REPORT_FORMAT:
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("config"), dict):
-            problems.append("line 1: missing object 'config'")
-        shards = header.get("shards")
-        if not isinstance(shards, int) or shards < 1:
-            problems.append("line 1: missing positive integer 'shards'")
-
+    problems, header, records = _jsonl(lines, _SERVICE_HEADER)
     results_seen = 0
     shards_seen = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        kind = record.get("type")
-        if kind == "result":
+    for lineno, record in records:
+        where = f"line {lineno}"
+        row_type = record.get("type")
+        if row_type == "result":
             results_seen += 1
-            for key in ("penalty_integral", "mean_penalty"):
-                if not isinstance(record.get(key), (int, float)):
-                    problems.append(
-                        f"line {lineno}: result missing numeric {key!r}"
-                    )
-            digest = record.get("fingerprint", "")
-            if not (isinstance(digest, str) and digest.startswith("sha256:")):
-                problems.append(
-                    f"line {lineno}: missing sha256 'fingerprint'"
-                )
-            if not isinstance(record.get("invariants_ok"), bool):
-                problems.append(
-                    f"line {lineno}: missing boolean 'invariants_ok'"
-                )
-            chaos = record.get("chaos")
-            if not isinstance(chaos, dict):
-                problems.append(f"line {lineno}: missing object 'chaos'")
-            else:
-                for key in CHAOS_COUNT_COLUMNS:
-                    value = chaos.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"line {lineno}: chaos block missing integer "
-                            f"{key!r}"
-                        )
-            queue = record.get("queue")
-            if not isinstance(queue, dict):
-                problems.append(f"line {lineno}: missing object 'queue'")
-            else:
-                if queue.get("accounting_ok") is not True:
-                    problems.append(
-                        f"line {lineno}: queue accounting not ok"
-                    )
-                for key in (
-                    "offered",
-                    "accepted",
-                    "deferred",
-                    "requeued",
-                    "dropped",
-                    "drained",
-                    "pending",
-                    "backpressure_losses",
-                ):
-                    value = queue.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"line {lineno}: queue missing integer {key!r}"
-                        )
-            audit = record.get("audit")
-            if not isinstance(audit, dict) or not isinstance(
-                audit.get("evicted_decisions"), int
-            ):
-                problems.append(
-                    f"line {lineno}: missing audit.evicted_decisions"
-                )
-            problems.extend(
-                _health_row_problems(record.get("health"), f"line {lineno}")
-            )
-        elif kind == "shard":
-            if record.get("shard") != shards_seen:
-                problems.append(
-                    f"line {lineno}: shard rows out of order "
-                    f"(got {record.get('shard')!r}, want {shards_seen})"
-                )
+            problems += _fields(record, _SERVICE_RESULT, where)
+        elif row_type == "shard":
+            # Shard rows come in shard order.
+            table = {"shard": (shards_seen,), **_SERVICE_SHARD}
+            problems += _fields(record, table, where)
             shards_seen += 1
-            if not isinstance(record.get("log"), dict):
-                problems.append(f"line {lineno}: shard missing object 'log'")
-            for key in ("links", "tors"):
-                if not isinstance(record.get(key), int):
-                    problems.append(
-                        f"line {lineno}: shard missing integer {key!r}"
-                    )
         else:
-            problems.append(f"line {lineno}: unknown type {kind!r}")
+            problems.append(f"{where}: unknown type {row_type!r}")
     if results_seen != 1:
         problems.append(f"stream has {results_seen} result rows (want 1)")
-    if isinstance(header, dict) and isinstance(header.get("shards"), int):
-        if shards_seen != header["shards"]:
-            problems.append(
-                f"header says shards={header['shards']} but stream has "
-                f"{shards_seen} shard rows"
-            )
+    shards = header.get("shards")
+    if _is_int(shards) and shards_seen != shards:
+        problems.append(
+            f"header says shards={shards} but stream has "
+            f"{shards_seen} shard rows"
+        )
     return problems
 
 
@@ -728,253 +678,86 @@ def validate_benchmark_record(record: object) -> List[str]:
     Every ``benchmarks/test_runtime_*`` module writes one of these next to
     its human-readable summary so regressions are diffable by tooling.
     """
-    problems: List[str] = []
     if not isinstance(record, dict):
         return ["benchmark record is not a JSON object"]
-    if record.get("format") != "repro-benchmark":
-        problems.append("wrong or missing 'format' (want 'repro-benchmark')")
-    if not isinstance(record.get("format_version"), int):
-        problems.append("missing integer 'format_version'")
-    if not record.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    if not isinstance(record.get("name"), str) or not record.get("name"):
-        problems.append("missing non-empty string 'name'")
-    env = record.get("environment")
-    if not isinstance(env, dict) or not isinstance(env.get("cpus"), int):
-        problems.append("missing environment.cpus")
+    problems = _fields(record, _BENCH_RECORD)
     metrics = record.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        problems.append("missing non-empty 'metrics' object")
-    else:
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float, bool)):
-                problems.append(f"metrics[{key!r}] is not numeric")
+    if isinstance(metrics, dict):
+        problems += _values(metrics, "metric", prefix="metrics.")
     return problems
-
-
-#: Health/SLO literals, pinned against :mod:`repro.obs.health` and
-#: :mod:`repro.obs.slo` by the health tests.
-HEALTH_FORMAT = "repro-health-scorecard"
-HEALTH_FORMAT_VERSION = 1
-ALERTS_FORMAT = "repro-health-alerts"
-ALERTS_FORMAT_VERSION = 1
 
 
 def validate_health_scorecard(obj: object) -> List[str]:
     """Problems with a health scorecard object (empty list = valid)."""
     if not isinstance(obj, dict):
         return ["scorecard is not a JSON object"]
-    problems: List[str] = []
-    if obj.get("format") != HEALTH_FORMAT:
-        problems.append(f"wrong or missing 'format' {obj.get('format')!r}")
-    if obj.get("format_version") != HEALTH_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {obj.get('format_version')!r}"
-        )
-    if not obj.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    sensing = obj.get("sensing")
-    if sensing not in ("telemetry", "oracle"):
-        problems.append(f"bad 'sensing' {sensing!r}")
-    if not isinstance(obj.get("complete"), bool):
-        problems.append("missing boolean 'complete'")
-    if not isinstance(obj.get("end_s"), (int, float)):
-        problems.append("missing numeric 'end_s'")
+    problems = _fields(obj, _SCORECARD)
     fleet = obj.get("fleet")
-    if not isinstance(fleet, dict):
-        problems.append("missing object 'fleet'")
-    elif sensing == "telemetry":
-        for section in (
-            "detection",
-            "mitigation",
-            "disables",
-            "penalty",
-            "capacity",
-            "quarantine",
-            "breaker",
-            "debounce",
-        ):
-            if not isinstance(fleet.get(section), dict):
-                problems.append(f"fleet missing object {section!r}")
-        detection = fleet.get("detection")
-        if isinstance(detection, dict):
-            for key in ("count", "pending", "overdue"):
-                value = detection.get(key)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    problems.append(
-                        f"fleet.detection missing integer {key!r}"
-                    )
-        disables = fleet.get("disables")
-        if isinstance(disables, dict):
-            rate = disables.get("false_rate")
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                problems.append("fleet.disables missing numeric 'false_rate'")
-    shards = obj.get("shards")
-    if not isinstance(shards, list):
-        problems.append("missing list 'shards'")
-    else:
-        for index, shard in enumerate(shards):
-            if not isinstance(shard, dict) or shard.get("shard") != index:
-                problems.append(f"shards[{index}]: bad or out-of-order row")
-    links = obj.get("links")
-    if not isinstance(links, list):
-        problems.append("missing list 'links'")
-    else:
-        for index, link in enumerate(links):
-            if not isinstance(link, dict) or not isinstance(
-                link.get("link"), str
-            ):
-                problems.append(f"links[{index}]: missing string 'link'")
-            elif not isinstance(link.get("onset_s"), (int, float)):
-                problems.append(f"links[{index}]: missing numeric 'onset_s'")
-    if not isinstance(obj.get("links_omitted"), int):
-        problems.append("missing integer 'links_omitted'")
+    if obj.get("sensing") == "telemetry" and isinstance(fleet, dict):
+        problems += _fields(fleet, _TELEMETRY_FLEET, prefix="fleet.")
+    for index, shard in _items(obj.get("shards")):
+        # Shard rows come in shard order.
+        problems += _fields(shard, {"shard": (index,)}, f"shards[{index}]")
+    for index, link in _items(obj.get("links")):
+        problems += _fields(link, _SCORECARD_LINK, f"links[{index}]")
     slo = obj.get("slo")
-    if not isinstance(slo, dict):
-        problems.append("missing object 'slo'")
-    else:
-        if not isinstance(slo.get("rules"), list):
-            problems.append("slo missing list 'rules'")
-        if not isinstance(slo.get("alerts"), list):
-            problems.append("slo missing list 'alerts'")
-        elif slo.get("alerts_fired") != len(slo["alerts"]):
+    if isinstance(slo, dict):
+        fired, alerts = slo.get("alerts_fired"), slo.get("alerts")
+        if isinstance(alerts, list) and _is_int(fired) and (
+            fired != len(alerts)
+        ):
             problems.append(
-                "slo.alerts_fired disagrees with len(slo.alerts)"
+                f"slo.alerts_fired={fired} disagrees with "
+                f"len(slo.alerts)={len(alerts)}"
             )
-        if not isinstance(slo.get("ok"), bool):
-            problems.append("slo missing boolean 'ok'")
-        for index, rule in enumerate(slo.get("rules") or []):
-            if not isinstance(rule, dict) or rule.get("state") not in (
-                "ok",
-                "firing",
-            ):
-                problems.append(f"slo.rules[{index}]: bad 'state'")
+        for index, rule in _items(slo.get("rules")):
+            problems += _fields(rule, _SLO_RULE, f"slo.rules[{index}]")
     return problems
 
 
 def validate_alerts_jsonl(lines: Sequence[str]) -> List[str]:
     """Problems with an SLO alert stream (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    declared_alerts = None
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != ALERTS_FORMAT:
-            problems.append("line 1: wrong or missing 'format'")
-        if header.get("format_version") != ALERTS_FORMAT_VERSION:
-            problems.append("line 1: unsupported 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("rules"), list):
-            problems.append("line 1: missing list 'rules'")
-        declared_alerts = header.get("alerts")
-        if not isinstance(declared_alerts, int):
-            problems.append("line 1: missing integer 'alerts'")
-            declared_alerts = None
-
-    alerts_seen = 0
+    problems, header, records = _jsonl(lines, _ALERTS_HEADER)
     last_time = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict) or record.get("type") != "alert":
-            problems.append(f"line {lineno}: not an alert record")
-            continue
-        alerts_seen += 1
+    for lineno, record in records:
+        problems += _fields(record, _ALERT, f"line {lineno}")
         time_s = record.get("sim_time_s")
-        if not isinstance(time_s, (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-        elif last_time is not None and time_s < last_time:
+        if not _is_num(time_s):
+            continue
+        if last_time is not None and time_s < last_time:
             problems.append(f"line {lineno}: alerts out of event-time order")
         else:
             last_time = time_s
-        if not isinstance(record.get("rule"), str):
-            problems.append(f"line {lineno}: missing string 'rule'")
-        if record.get("state") not in ("firing", "resolved"):
-            problems.append(
-                f"line {lineno}: bad state {record.get('state')!r}"
-            )
-        if record.get("severity") not in ("info", "warning", "critical"):
-            problems.append(
-                f"line {lineno}: bad severity {record.get('severity')!r}"
-            )
-        value = record.get("value")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"line {lineno}: missing numeric 'value'")
-    if declared_alerts is not None and alerts_seen != declared_alerts:
+    declared = header.get("alerts")
+    if _is_int(declared) and len(records) != declared:
         problems.append(
-            f"header says alerts={declared_alerts} but stream has "
-            f"{alerts_seen} alert rows"
+            f"header says alerts={declared} but stream has "
+            f"{len(records)} alert rows"
         )
     return problems
-
-
-#: Benchmark-trajectory literals, pinned against :mod:`repro.benchtrack`.
-BENCH_TRAJECTORY_FORMAT = "repro-bench-trajectory"
-BENCH_TRAJECTORY_FORMAT_VERSION = 1
 
 
 def validate_bench_trajectory(obj: object) -> List[str]:
     """Problems with a benchmark trajectory file (empty list = valid)."""
     if not isinstance(obj, dict):
         return ["trajectory is not a JSON object"]
-    problems: List[str] = []
-    if obj.get("format") != BENCH_TRAJECTORY_FORMAT:
-        problems.append(f"wrong or missing 'format' {obj.get('format')!r}")
-    if obj.get("format_version") != BENCH_TRAJECTORY_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {obj.get('format_version')!r}"
-        )
-    if not obj.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, dict) or not benchmarks:
-        problems.append("missing non-empty object 'benchmarks'")
-        benchmarks = {}
-    for name, entry in benchmarks.items():
+    problems = _fields(obj, _TRAJECTORY)
+    for name, entry in _members(obj.get("benchmarks")):
         where = f"benchmarks[{name!r}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
+        problems += _fields(entry, _TRAJECTORY_ENTRY, where)
+        metrics = entry.get("metrics") if isinstance(entry, dict) else None
+        if not isinstance(metrics, dict):
             continue
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict) or not metrics:
-            problems.append(f"{where}: missing non-empty 'metrics'")
-            continue
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float, bool)):
-                problems.append(f"{where}: metrics[{key!r}] is not numeric")
-        runtime = entry.get("runtime_metrics")
-        if not isinstance(runtime, list):
-            problems.append(f"{where}: missing list 'runtime_metrics'")
+        problems += _values(metrics, "metric", where, "metrics.")
+        for _, key in _items(entry.get("runtime_metrics")):
+            if not isinstance(key, str) or key not in metrics:
+                problems.append(
+                    f"{where}: runtime metric {key!r} not in metrics"
+                )
+    for name, entry in _members(obj.get("baseline")):
+        where = f"baseline[{name!r}]"
+        if isinstance(entry, dict):
+            problems += _values(entry, "num", where)
         else:
-            for key in runtime:
-                if key not in metrics:
-                    problems.append(
-                        f"{where}: runtime metric {key!r} not in metrics"
-                    )
-    baseline = obj.get("baseline")
-    if not isinstance(baseline, dict):
-        problems.append("missing object 'baseline'")
-    else:
-        for name, entry in baseline.items():
-            where = f"baseline[{name!r}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{where}: not an object")
-                continue
-            for key, value in entry.items():
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    problems.append(f"{where}: {key!r} is not numeric")
+            problems.append(f"{where}: not an object")
     return problems

@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.schema import ALERTS_FORMAT, ALERTS_FORMAT_VERSION
+
 __all__ = [
     "ALERTS_FORMAT",
     "ALERTS_FORMAT_VERSION",
@@ -32,10 +34,6 @@ __all__ = [
     "SLORule",
     "rules_from_json",
 ]
-
-ALERTS_FORMAT = "repro-health-alerts"
-#: Bumped when the alert record layout changes incompatibly.
-ALERTS_FORMAT_VERSION = 1
 
 _OPS = ("<=", ">=")
 _SEVERITIES = ("info", "warning", "critical")

@@ -29,10 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from repro._version import __version__
-
-CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Bumped when the header or payload layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+from repro.obs.schema import CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION
 
 #: Fixed protocol so checkpoints written on newer interpreters stay
 #: readable on the older end of the supported range.

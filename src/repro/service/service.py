@@ -29,6 +29,10 @@ from repro._version import __version__
 from repro.core.controller import ControllerLog, CorrOptController
 from repro.core.resilience import BreakerState, CircuitBreaker, OnsetDebouncer
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.schema import (
+    SERVICE_REPORT_FORMAT,
+    SERVICE_REPORT_FORMAT_VERSION,
+)
 from repro.obs.slo import rules_from_json
 from repro.parallel.aggregate import series_digest
 from repro.service.checkpoint import read_checkpoint
@@ -48,10 +52,6 @@ from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
 from repro.simulation.results import RunResult
 from repro.simulation.scenarios import chaos_scenario
 from repro.topology.elements import LinkId
-
-SERVICE_REPORT_FORMAT = "repro-service-report"
-#: Bumped when the report layout changes incompatibly.
-SERVICE_REPORT_FORMAT_VERSION = 1
 
 #: Exact aggregate counters on :class:`ControllerLog`, summed per shard.
 _LOG_COUNTERS = (

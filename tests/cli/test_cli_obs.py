@@ -150,3 +150,54 @@ class TestMetricsSummaryQuantiles:
         assert code == 0
         out = capsys.readouterr().out
         assert "wait_s: n=100 sum=321.5 p50<=1.0 p95<=10.0 p99<=+Inf" in out
+
+
+#: A valid sweep header for zero jobs; tests append corrupt rows to it.
+SWEEP_HEADER = json.dumps({
+    "type": "header", "format": "repro-sweep", "format_version": 1,
+    "repro_version": "0.0.0", "jobs_total": 0,
+    "grid_digest": "sha256:" + "0" * 64,
+})
+
+
+class TestCorruptArtifacts:
+    """A corrupt artifact is reported as INVALID, never as a traceback."""
+
+    def test_obs_reports_unparseable_event_line(
+        self, chaos_artifacts, tmp_path, capsys
+    ):
+        lines = (chaos_artifacts / "events.jsonl").read_text().splitlines()
+        bad = tmp_path / "events.jsonl"
+        bad.write_text("\n".join([lines[0], "{not json", *lines[1:]]) + "\n")
+        code = main(["obs", "--validate", "--events", str(bad)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"{bad}: INVALID (1 problem(s))" in out
+        assert "validation: 1 problem(s)" in out
+        assert "line 2: invalid JSON" in out
+        assert "event stream:" not in out  # no summary of a corrupt file
+
+    def test_obs_reports_non_object_sweep_row(self, tmp_path, capsys):
+        bad = tmp_path / "sweep.jsonl"
+        bad.write_text(SWEEP_HEADER + "\n[1,2]\n")
+        assert main(["obs", "--validate", "--sweep", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "line 2: record is not an object" in out
+        assert "INVALID" in out
+
+    def test_health_reports_non_object_sweep_row(self, tmp_path, capsys):
+        bad = tmp_path / "sweep.jsonl"
+        bad.write_text(SWEEP_HEADER + "\n[1,2]\n")
+        assert main(["health", "--sweep", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"{bad}: INVALID (1 problem(s))" in out
+        assert "line 2: record is not an object" in out
+        assert "sweep health" not in out
+
+    def test_health_reports_invalid_service_report(self, tmp_path, capsys):
+        bad = tmp_path / "report.jsonl"
+        bad.write_text('{"type": "header"}\n{"type": "result"}\n')
+        assert main(["health", "--service-report", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out
+        assert "service health" not in out

@@ -25,8 +25,8 @@ from repro.service.checkpoint import (
 
 
 def test_schema_literals_pinned_against_service():
-    """repro.obs.schema stays import-light, so it re-declares the format
-    literals; this pin fails if the two packages ever drift."""
+    """The checkpoint writer takes its format literals from the schema
+    module; this pin fails if either side grows its own copy."""
     assert SCHEMA_FORMAT == CHECKPOINT_FORMAT
     assert SCHEMA_VERSION == CHECKPOINT_FORMAT_VERSION
 

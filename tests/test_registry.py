@@ -91,6 +91,7 @@ def test_cli_choices_alias_registry():
     from repro import cli
 
     assert cli.STRATEGY_CHOICES is registry.STRATEGIES
+    assert cli.CHAOS_CHOICES is registry.CHAOS_PRESETS
     assert cli.PENALTY_CHOICES is registry.PENALTIES
     assert cli.CONGESTION_CHOICES is registry.CONGESTION_PRESETS
     assert cli.SENSING_CHOICES is registry.SENSING_PIPELINES
